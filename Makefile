@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build vet test race bench bench-smoke bench-par-smoke bench-live-smoke chaos cover fuzz live-smoke fleet-smoke results-smoke clean
+.PHONY: all tier1 build vet test race bench bench-smoke bench-par-smoke bench-live-smoke bench-eventq-smoke chaos cover fuzz live-smoke fleet-smoke results-smoke clean
 
 all: tier1
 
@@ -49,6 +49,12 @@ bench-smoke:
 
 bench-par-smoke:
 	./scripts/benchsmoke.sh BenchmarkParHotPath_PktsPerSec
+
+# bench-eventq-smoke gates the event queue alone, on the sim-fabric
+# schedule mix its delay lanes are built for, at zero allocations per
+# event (budget in scripts/bench_baseline.txt).
+bench-eventq-smoke:
+	./scripts/benchsmoke.sh BenchmarkEventQLanes ./internal/eventq
 
 # Ratcheted per-package coverage gate. Floors live in
 # scripts/coverage_thresholds.txt; raise them as coverage improves.

@@ -6,11 +6,24 @@
 // fire in the order they were scheduled. This makes entire simulation runs
 // reproducible from a seed.
 //
-// The scheduler is built for the simulator's hot loop: an inlined 4-ary heap
-// (no container/heap interface boxing), event structs recycled through a
-// per-queue free list (steady-state Schedule/Step perform zero allocations),
-// and lazy cancellation (Cancel marks the event dead in place; the heap slot
-// is reclaimed when it surfaces, avoiding O(log n) mid-heap removal).
+// The scheduler is built for the simulator's hot loop: an inlined binary
+// heap (no container/heap interface boxing) of delay lanes, event structs
+// recycled through a per-queue free list (steady-state Schedule/Step perform
+// zero allocations), and lazy cancellation (Cancel marks the event dead in
+// place; the entry is reclaimed when it surfaces, avoiding O(log n)
+// mid-heap removal).
+//
+// Delay lanes keep the heap small. A simulation schedules most of its
+// events as a handful of in-order streams: every After(d) with the same d
+// fires in scheduling order, and so do the successive absolute-time events
+// of one handler. A lane is an intrusive FIFO of such a stream, and only
+// each lane's head sits in the heap; popping a head promotes its successor
+// in place. An event joins a lane only if it fires no earlier than the
+// lane's tail. Its sequence number is always larger, so every lane is
+// sorted by (time, seq) and the heap merge of lanes pops exactly the order
+// a heap of all events would. Lane choice is therefore only a speed
+// heuristic: an event that finds its lane slot held by another stream, or
+// that would fire before the tail, enters the heap on its own.
 // Callers hold Timer handles rather than raw event pointers: a generation
 // counter makes handles to fired, canceled, or recycled events permanently
 // inert, so the free list can reuse memory without use-after-fire hazards.
@@ -28,10 +41,12 @@ package eventq
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
-// event is one heap entry. Instances are owned by the queue and recycled
-// through its free list; external code only ever sees Timer handles.
+// event is one scheduled event, held in a lane or alone in the heap.
+// Instances are owned by the queue and recycled through its free list;
+// external code only ever sees Timer handles.
 type event struct {
 	at  int64 // firing time, ns
 	seq uint64
@@ -42,7 +57,8 @@ type event struct {
 	fn2    func(a0, a1 any)
 	a0, a1 any
 	gen    uint64 // bumped on fire/cancel, invalidating outstanding Timers
-	next   *event // free-list link
+	next   *event // lane successor while pending, free-list link once recycled
+	lane   uint8  // 1 + index of the lane holding the event, 0 for a lone heap entry
 }
 
 // dead reports whether the event has fired or been canceled and is only
@@ -76,7 +92,8 @@ func (t Timer) At() int64 {
 // by design (independent queues may run on concurrent goroutines — the
 // sharded engine in internal/simnet runs one Queue per topology shard).
 type Queue struct {
-	h      []*event
+	h      []slot // heads of the nonempty lanes, plus lone events
+	lanes  [numLanes]lane
 	free   *event
 	now    int64
 	nexts  uint64
@@ -118,7 +135,7 @@ func (q *Queue) Fired() uint64 { return q.nfired }
 // past (before Now) panics: it always indicates a logic error in the caller,
 // and silently reordering time would corrupt the simulation.
 func (q *Queue) Schedule(at int64, fn func()) Timer {
-	e := q.alloc(at)
+	e := q.alloc(at, fnKey(*(*unsafe.Pointer)(unsafe.Pointer(&fn))))
 	e.fn = fn
 	return Timer{e: e, gen: e.gen}
 }
@@ -129,7 +146,7 @@ func (q *Queue) Schedule(at int64, fn func()) Timer {
 // inline cells of the recycled event struct. Ordering is identical to
 // Schedule: both draw from the same tie-breaking sequence.
 func (q *Queue) ScheduleCall(at int64, fn func(a0, a1 any), a0, a1 any) Timer {
-	e := q.alloc(at)
+	e := q.alloc(at, fnKey(*(*unsafe.Pointer)(unsafe.Pointer(&fn))))
 	e.fn2 = fn
 	e.a0, e.a1 = a0, a1
 	return Timer{e: e, gen: e.gen}
@@ -140,7 +157,9 @@ func (q *Queue) After(d int64, fn func()) Timer {
 	if d < 0 {
 		panic("eventq: negative delay")
 	}
-	return q.Schedule(q.now+d, fn)
+	e := q.alloc(q.now+d, delayKey(d))
+	e.fn = fn
+	return Timer{e: e, gen: e.gen}
 }
 
 // AfterCall enqueues fn(a0, a1) to run d nanoseconds after Now; the typed,
@@ -149,12 +168,15 @@ func (q *Queue) AfterCall(d int64, fn func(a0, a1 any), a0, a1 any) Timer {
 	if d < 0 {
 		panic("eventq: negative delay")
 	}
-	return q.ScheduleCall(q.now+d, fn, a0, a1)
+	e := q.alloc(q.now+d, delayKey(d))
+	e.fn2 = fn
+	e.a0, e.a1 = a0, a1
+	return Timer{e: e, gen: e.gen}
 }
 
-// alloc pops a recycled event (or allocates one) and enters it into the
-// heap at time at, with the next tie-breaking sequence number.
-func (q *Queue) alloc(at int64) *event {
+// alloc pops a recycled event (or allocates one) and enqueues it at time
+// at, with the next tie-breaking sequence number, on the lane for key.
+func (q *Queue) alloc(at int64, key uint64) *event {
 	if at < q.now {
 		panic("eventq: scheduling into the past")
 	}
@@ -169,8 +191,7 @@ func (q *Queue) alloc(at int64) *event {
 	e.seq = q.nexts
 	q.nexts++
 	q.live++
-	q.h = append(q.h, e)
-	q.siftUp(len(q.h) - 1)
+	q.enqueue(e, key)
 	return e
 }
 
@@ -194,31 +215,35 @@ func (q *Queue) Cancel(t Timer) {
 // if no live events remain.
 func (q *Queue) Step() bool {
 	for len(q.h) > 0 {
-		e := q.h[0]
-		q.popRoot()
+		e := q.pop()
 		if e.dead() { // lazily canceled; reclaim silently
 			q.recycle(e)
 			continue
 		}
-		q.now = e.at
-		fn, fn2, a0, a1 := e.fn, e.fn2, e.a0, e.a1
-		e.fn = nil
-		e.fn2 = nil
-		e.a0, e.a1 = nil, nil
-		e.gen++
-		q.live--
-		q.nfired++
-		// Recycle before dispatch: fn may Schedule and immediately reuse
-		// this slot, which is safe now that the generation has advanced.
-		q.recycle(e)
-		if fn2 != nil {
-			fn2(a0, a1)
-		} else {
-			fn()
-		}
+		q.fire(e)
 		return true
 	}
 	return false
+}
+
+// fire dispatches a live event just popped from the queue.
+func (q *Queue) fire(e *event) {
+	q.now = e.at
+	fn, fn2, a0, a1 := e.fn, e.fn2, e.a0, e.a1
+	e.fn = nil
+	e.fn2 = nil
+	e.a0, e.a1 = nil, nil
+	e.gen++
+	q.live--
+	q.nfired++
+	// Recycle before dispatch: fn may Schedule and immediately reuse
+	// this slot, which is safe now that the generation has advanced.
+	q.recycle(e)
+	if fn2 != nil {
+		fn2(a0, a1)
+	} else {
+		fn()
+	}
 }
 
 // RunUntil fires events until the queue is empty or the next event is after
@@ -248,33 +273,13 @@ func (q *Queue) RunUntil(deadline int64) {
 // returns the number of events fired.
 func (q *Queue) RunBefore(limit int64) int {
 	fired := 0
-	for len(q.h) > 0 {
-		e := q.h[0]
+	for len(q.h) > 0 && q.h[0].at < limit {
+		e := q.pop()
 		if e.dead() { // lazily canceled; reclaim silently
-			q.popRoot()
 			q.recycle(e)
 			continue
 		}
-		if e.at >= limit {
-			break
-		}
-		q.popRoot()
-		q.now = e.at
-		fn, fn2, a0, a1 := e.fn, e.fn2, e.a0, e.a1
-		e.fn = nil
-		e.fn2 = nil
-		e.a0, e.a1 = nil, nil
-		e.gen++
-		q.live--
-		q.nfired++
-		// Recycle before dispatch: fn may Schedule and immediately reuse
-		// this slot, which is safe now that the generation has advanced.
-		q.recycle(e)
-		if fn2 != nil {
-			fn2(a0, a1)
-		} else {
-			fn()
-		}
+		q.fire(e)
 		fired++
 	}
 	if q.now < limit {
@@ -323,15 +328,18 @@ func (q *Queue) Drain(maxEvents int64) {
 func (q *Queue) Diagnostics(k int) string { return q.diagnose(k) }
 
 // diagnose summarizes queue state for the Drain panic: the current time,
-// how many live events are pending, and the earliest k deadlines. A queue
+// how many live events are pending, and the earliest k deadlines (taken
+// from every lane, not just the heads the heap holds). A queue
 // owned by a parallel-engine shard (SetShard) leads with the shard id and
 // labels the time as that shard's local clock — under the sharded engine
 // there is no single global queue for the old message to describe.
 func (q *Queue) diagnose(k int) string {
-	next := make([]int64, 0, len(q.h))
-	for _, e := range q.h {
-		if !e.dead() {
-			next = append(next, e.at)
+	next := make([]int64, 0, q.live)
+	for _, s := range q.h {
+		for e := s.e; e != nil; e = e.next {
+			if !e.dead() {
+				next = append(next, e.at)
+			}
 		}
 	}
 	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
@@ -349,10 +357,8 @@ func (q *Queue) diagnose(k int) string {
 // purgeCanceled pops lazily-canceled entries off the heap root so that
 // q.h[0], if present, is a live event.
 func (q *Queue) purgeCanceled() {
-	for len(q.h) > 0 && q.h[0].dead() {
-		e := q.h[0]
-		q.popRoot()
-		q.recycle(e)
+	for len(q.h) > 0 && q.h[0].e.dead() {
+		q.recycle(q.pop())
 	}
 }
 
@@ -361,15 +367,94 @@ func (q *Queue) recycle(e *event) {
 	q.free = e
 }
 
-// ------------------------------------------------- inlined 4-ary heap ----
+// ------------------------------------------------------- delay lanes ----
+
+// numLanes is the size of the direct-mapped lane table. A lane key that
+// hashes onto a slot held by another nonempty stream does not evict it:
+// the event enters the heap as a lone entry. In the Figure 8 stress fabric
+// (a dozen delays, about as many handlers) sampled heaps held no lone
+// entries at 64 slots.
+const (
+	laneBits = 6
+	numLanes = 1 << laneBits
+)
+
+// lane is one in-order event stream: an intrusive FIFO linked through
+// event.next, whose head is a heap entry. tail is nil when the lane is
+// empty, and the slot is then free for any key.
+type lane struct {
+	key  uint64
+	tail *event
+}
+
+// delayKey is the lane key of a relative-time event: its delay. Events
+// scheduled d after a nondecreasing Now fire in scheduling order.
+func delayKey(d int64) uint64 { return uint64(d) << 1 }
+
+// fnKey is the lane key of an absolute-time event: the address of its
+// handler's function value. A static handler (the hot-path ScheduleCall
+// form) has one address; closures built per call get fresh ones and so
+// rarely share a lane.
+func fnKey(p unsafe.Pointer) uint64 { return uint64(uintptr(p))<<1 | 1 }
+
+// enqueue places a freshly numbered event. It joins the lane for key when
+// the lane's slot is free or holds the same key with a tail firing no later
+// than e (the ordering invariant), and otherwise enters the heap alone.
+func (q *Queue) enqueue(e *event, key uint64) {
+	i := (key * 0x9E3779B97F4A7C15) >> (64 - laneBits) // Fibonacci hash onto numLanes
+	l := &q.lanes[i]
+	if t := l.tail; t != nil {
+		if l.key == key && e.at >= t.at {
+			t.next = e
+			l.tail = e
+			e.lane = uint8(i) + 1
+			return
+		}
+		e.lane = 0
+	} else {
+		l.key = key
+		l.tail = e
+		e.lane = uint8(i) + 1
+	}
+	q.h = append(q.h, slot{at: e.at, seq: e.seq, e: e})
+	q.siftUp(len(q.h) - 1)
+}
+
+// pop removes and returns the earliest event, live or canceled: the heap
+// root's lane head. Its lane successor, if any, takes over the root slot.
+func (q *Queue) pop() *event {
+	e := q.h[0].e
+	if s := e.next; s != nil {
+		e.next = nil
+		q.siftDown(slot{at: s.at, seq: s.seq, e: s})
+		return e
+	}
+	if e.lane != 0 {
+		q.lanes[e.lane-1].tail = nil
+	}
+	q.popRoot()
+	return e
+}
+
+// ----------------------------------------------- inlined binary heap ----
 //
-// A 4-ary layout halves the tree depth of a binary heap, trading slightly
-// wider sift-down scans for fewer cache-missing levels — a win at the
-// queue sizes the simulator sustains. Comparisons are direct field reads;
+// With delay lanes the heap holds about one entry per active event stream
+// (a dozen or so in the simulator), not one per pending event. At that
+// size a binary heap's single child comparison per level beats a 4-ary
+// layout's wider, mispredicted child scans; the depth a d-ary heap saves
+// only pays at hundreds of entries. Each slot carries its event's
+// (at, seq) key inline, so comparisons never dereference an event, and
 // there is no interface dispatch anywhere on the push/pop path.
 
-// less orders events by (at, seq): time first, scheduling order on ties.
-func less(a, b *event) bool {
+// slot is one heap entry: a lane head (or lone event) and its sort key.
+type slot struct {
+	at  int64
+	seq uint64
+	e   *event
+}
+
+// less orders slots by (at, seq): time first, scheduling order on ties.
+func less(a, b *slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -378,52 +463,48 @@ func less(a, b *event) bool {
 
 func (q *Queue) siftUp(i int) {
 	h := q.h
-	e := h[i]
+	s := h[i]
 	for i > 0 {
-		p := (i - 1) / 4
-		if !less(e, h[p]) {
+		p := (i - 1) / 2
+		if !less(&s, &h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = e
+	h[i] = s
 }
 
 // popRoot removes h[0], restoring heap order.
 func (q *Queue) popRoot() {
-	h := q.h
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	q.h = h[:n]
-	if n == 0 {
-		return
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h[n] = slot{}
+	q.h = q.h[:n]
+	if n > 0 {
+		q.siftDown(last)
 	}
-	h = q.h
-	// Sift the former last element down from the root.
+}
+
+// siftDown places s at the root of a nonempty heap whose root slot is
+// vacant, moving it down to restore heap order.
+func (q *Queue) siftDown(s slot) {
+	h := q.h
+	n := len(h)
 	i := 0
 	for {
-		c := 4*i + 1
-		if c >= n {
+		m := 2*i + 1
+		if m >= n {
 			break
 		}
-		// Smallest of up to four children.
-		end := c + 4
-		if end > n {
-			end = n
+		if r := m + 1; r < n && less(&h[r], &h[m]) {
+			m = r
 		}
-		m := c
-		for k := c + 1; k < end; k++ {
-			if less(h[k], h[m]) {
-				m = k
-			}
-		}
-		if !less(h[m], last) {
+		if !less(&h[m], &s) {
 			break
 		}
 		h[i] = h[m]
 		i = m
 	}
-	h[i] = last
+	h[i] = s
 }

@@ -3,11 +3,11 @@ package live
 import (
 	"errors"
 	"net"
+	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
-
-	"strings"
 
 	"linkguardian/internal/parallel"
 	"linkguardian/internal/simnet"
@@ -256,18 +256,33 @@ func TestMultiLinkLoopback(t *testing.T) {
 	}
 }
 
+// proxyFaultPattern is the fault pattern the proxy draws for one link
+// shard: for each of count arriving datagrams, '1' if forwarded and '0' if
+// dropped. Jitter and Reorder are off, as in proxyDropPattern.
+func proxyFaultPattern(master int64, link, count int) string {
+	m := newImpairment(ProxyImpair{Model: simnet.IIDLoss{P: 0.05}}, parallel.SeedFor(master, link))
+	pat := make([]byte, count)
+	for i := range pat {
+		pat[i] = '1'
+		if drop, _, _ := m.next(false); drop {
+			pat[i] = '0'
+		}
+	}
+	return string(pat)
+}
+
 // proxyDropPattern pushes count numbered datagrams through a fresh proxy
-// seeded for one link shard and returns which indices survived — the
-// link's fault pattern. Loopback UDP delivers in order, Jitter and
-// Reorder are off, and the proxy consumes one RNG decision per arriving
-// datagram, so the pattern is a pure function of the seed.
+// seeded for one link shard and returns which indices survived at the
+// sink. The sends are paced and the sink reads concurrently, so no socket
+// buffer can overflow: every missing index is a proxy drop, never a
+// kernel one.
 func proxyDropPattern(t *testing.T, master int64, link, count int) string {
 	t.Helper()
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sink.Close()
+	defer sink.Close() // also stops the reader if pacing fails
 	imp := ProxyImpair{Model: simnet.IIDLoss{P: 0.05}}
 	p, err := NewProxy("127.0.0.1:0", sink.LocalAddr().String(), imp, parallel.SeedFor(master, link))
 	if err != nil {
@@ -279,25 +294,51 @@ func proxyDropPattern(t *testing.T, master int64, link, count int) string {
 		t.Fatal(err)
 	}
 	defer src.Close()
+
+	got := make([]bool, count)
+	var received atomic.Uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 16)
+		for {
+			n, _, err := sink.ReadFromUDP(buf)
+			if err != nil {
+				return // sink closed
+			}
+			if n == 2 {
+				got[int(buf[0])|int(buf[1])<<8] = true
+				received.Add(1)
+			}
+		}
+	}()
+	// Pace in bursts far below any socket buffer: before each burst, the
+	// proxy has decided every datagram sent so far and the sink has read
+	// every one it forwarded.
+	const burst = 16
 	for i := 0; i < count; i++ {
 		var b [2]byte
 		b[0], b[1] = byte(i), byte(i>>8)
 		if _, err := src.WriteToUDP(b[:], p.Addr()); err != nil {
 			t.Fatal(err)
 		}
-	}
-	got := make([]bool, count)
-	buf := make([]byte, 16)
-	for {
-		_ = sink.SetReadDeadline(time.Now().Add(400 * time.Millisecond))
-		n, _, err := sink.ReadFromUDP(buf)
-		if err != nil {
-			break // idle: everything the proxy will forward has arrived
+		if (i+1)%burst != 0 && i+1 != count {
+			continue
 		}
-		if n == 2 {
-			got[int(buf[0])|int(buf[1])<<8] = true
+		for deadline := time.Now().Add(2 * time.Second); ; {
+			fwd := p.Forwarded()
+			if fwd+p.Dropped() == uint64(i+1) && received.Load() == fwd {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("after %d sends: proxy forwarded %d, dropped %d; sink read %d — datagrams lost outside the proxy's loss model",
+					i+1, fwd, p.Dropped(), received.Load())
+			}
+			time.Sleep(20 * time.Microsecond)
 		}
 	}
+	_ = sink.Close()
+	<-done
 	pat := make([]byte, count)
 	for i, ok := range got {
 		pat[i] = '0'
@@ -311,18 +352,31 @@ func proxyDropPattern(t *testing.T, master int64, link, count int) string {
 // Per-link fault seeding: the same (seed, link) pair must reproduce the
 // same drop pattern, and different links of one run must draw
 // decorrelated patterns — the reproducibility contract behind
-// MultiConfig.Seed and parallel.SeedFor.
+// MultiConfig.Seed and parallel.SeedFor. The contract is asserted on the
+// proxy's decision stream, so socket-level losses cannot blur it.
 func TestProxyPerLinkSeedingReproducible(t *testing.T) {
 	const n = 800
-	link0 := proxyDropPattern(t, 21, 0, n)
-	if again := proxyDropPattern(t, 21, 0, n); again != link0 {
+	link0 := proxyFaultPattern(21, 0, n)
+	if again := proxyFaultPattern(21, 0, n); again != link0 {
 		t.Fatalf("same (seed, link) produced different fault patterns:\n%s\n%s", link0, again)
 	}
-	link1 := proxyDropPattern(t, 21, 1, n)
+	link1 := proxyFaultPattern(21, 1, n)
 	if link1 == link0 {
 		t.Fatal("links 0 and 1 drew identical fault patterns: per-link seeds not applied")
 	}
 	if !strings.Contains(link0, "0") || !strings.Contains(link1, "0") {
 		t.Fatalf("no drops at 5%% over %d datagrams: pattern suspect", n)
+	}
+}
+
+// On real sockets, a proxy seeded for a link drops exactly the datagrams
+// its decision stream names, one decision per arriving datagram in order.
+func TestProxyForwardsSeededFaultPattern(t *testing.T) {
+	const n = 800
+	for link := 0; link < 2; link++ {
+		want := proxyFaultPattern(21, link, n)
+		if got := proxyDropPattern(t, 21, link, n); got != want {
+			t.Fatalf("link %d: sink saw pattern\n%s\nproxy decision stream\n%s", link, got, want)
+		}
 	}
 }

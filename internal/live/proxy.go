@@ -30,10 +30,7 @@ type Proxy struct {
 	conn *net.UDPConn
 	to   *net.UDPAddr
 
-	model   simnet.LossModel
-	rng     *rand.Rand
-	jitter  time.Duration
-	reorder float64
+	imp impairment
 
 	forwarded atomic.Uint64
 	dropped   atomic.Uint64
@@ -63,6 +60,43 @@ type ProxyImpair struct {
 	ReorderProb float64
 }
 
+// impairment is the proxy's per-datagram decision stream: drop, jitter,
+// hold for a swap. It consumes the seeded RNG in arrival order and nothing
+// else, so the fault pattern a link sees is a pure function of its seed
+// and knobs, whatever the sockets around the proxy do.
+type impairment struct {
+	model   simnet.LossModel
+	rng     *rand.Rand
+	jitter  time.Duration
+	reorder float64
+}
+
+func newImpairment(imp ProxyImpair, seed int64) impairment {
+	if imp.Model == nil {
+		imp.Model = simnet.NoLoss{}
+	}
+	return impairment{
+		model:   imp.Model,
+		rng:     rand.New(rand.NewSource(seed)),
+		jitter:  imp.Jitter,
+		reorder: imp.ReorderProb,
+	}
+}
+
+// next decides the fate of the next arriving datagram: dropped, or
+// forwarded after delay, and held back to follow its successor when hold
+// (never while holding, another datagram is already held).
+func (m *impairment) next(holding bool) (drop bool, delay time.Duration, hold bool) {
+	if m.model.Drops(m.rng) {
+		return true, 0, false
+	}
+	if m.jitter > 0 {
+		delay = time.Duration(m.rng.Int63n(int64(m.jitter)))
+	}
+	hold = !holding && m.reorder > 0 && m.rng.Float64() < m.reorder
+	return false, delay, hold
+}
+
 // NewProxy starts an impairment relay on listen, forwarding to target.
 // Close releases the sockets.
 func NewProxy(listen, target string, imp ProxyImpair, seed int64) (*Proxy, error) {
@@ -78,19 +112,13 @@ func NewProxy(listen, target string, imp ProxyImpair, seed int64) (*Proxy, error
 	if err != nil {
 		return nil, err
 	}
-	if imp.Model == nil {
-		imp.Model = simnet.NoLoss{}
-	}
 	p := &Proxy{
-		conn:    conn,
-		to:      taddr,
-		model:   imp.Model,
-		rng:     rand.New(rand.NewSource(seed)),
-		jitter:  imp.Jitter,
-		reorder: imp.ReorderProb,
-		fq:      make(chan fwdItem, 4096),
-		closed:  make(chan struct{}),
-		fdone:   make(chan struct{}),
+		conn:   conn,
+		to:     taddr,
+		imp:    newImpairment(imp, seed),
+		fq:     make(chan fwdItem, 4096),
+		closed: make(chan struct{}),
+		fdone:  make(chan struct{}),
 	}
 	_ = conn.SetReadBuffer(4 << 20)
 	_ = conn.SetWriteBuffer(4 << 20)
@@ -154,19 +182,18 @@ func (p *Proxy) run() {
 		if err != nil {
 			return // closed
 		}
-		if p.model.Drops(p.rng) {
+		drop, delay, hold := p.imp.next(held != nil)
+		if drop {
 			p.dropped.Add(1)
 			continue
 		}
-		var delay time.Duration
-		if p.jitter > 0 {
-			delay = time.Duration(p.rng.Int63n(int64(p.jitter)))
+		if p.imp.jitter > 0 {
 			p.delayed.Add(1)
 		}
 		b := make([]byte, n)
 		copy(b, buf[:n])
 		it := fwdItem{b: b, due: time.Now().Add(delay)}
-		if held == nil && p.reorder > 0 && p.rng.Float64() < p.reorder {
+		if hold {
 			held = &it // emitted right after the next survivor
 			continue
 		}

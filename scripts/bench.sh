@@ -83,10 +83,9 @@ spread() { # relative spread (max-min)/max in percent
     sort -n | awk 'NR==1{min=$1} {max=$1} END { if (max>0) printf "%.2f", (max-min)/max*100; else print 0 }'
 }
 
-# emit <json-key> <bench/sub> [baseline-pps]: one JSON object for a
-# subbenchmark; with a baseline, also the speedup against it.
+# emit <json-key> <bench/sub>: one JSON object for a subbenchmark.
 emit() {
-    local key="$1" name="$2" base="${3:-}"
+    local key="$1" name="$2"
     local pps_best pps_min pps_spread ns_best allocs
     pps_best=$(samples "$name" "pkts/sec" | best)
     pps_min=$(samples "$name" "pkts/sec" | worst)
@@ -102,13 +101,7 @@ emit() {
     printf '    "pkts_per_sec_min": %.0f,\n' "$pps_min"
     printf '    "spread_pct": %s,\n' "$pps_spread"
     printf '    "ns_per_op": %d,\n' "$ns_best"
-    if [ -n "$base" ]; then
-        printf '    "allocs_per_op": %d,\n' "$allocs"
-        printf '    "baseline_pkts_per_sec": %d,\n' "$base"
-        awk -v a="$pps_best" -v b="$base" 'BEGIN { printf "    \"speedup\": %.2f\n", a / b }'
-    else
-        printf '    "allocs_per_op": %d\n' "$allocs"
-    fi
+    printf '    "allocs_per_op": %d\n' "$allocs"
     printf '  }'
 }
 
@@ -141,11 +134,10 @@ emit_ingest() {
     printf '  }'
 }
 
-# Baselines: BENCH_4.json (best-of run of the sequential engine at the end
-# of the zero-allocation PR, same harness). The parallel shards-4 entry is
-# additionally compared against its own shards-1 sample below.
-base4_clean=793241
-base4_lossy=632564
+# No stored baselines: absolute rates from another run, let alone another
+# machine, are not comparable. The only ratios recorded are taken
+# within this run (shards-4 vs shards-1, batched vs unbatched mux). A perf
+# claim needs a paired, interleaved A/B against the base commit.
 
 fleet_lys=$(samples "FleetPareto" "linkyears/sec" | best)
 fleet_ns=$(samples "FleetPareto" "ns/op" | worst)
@@ -160,8 +152,8 @@ fi
     printf '  "benchtime": "%s",\n' "$BENCHTIME"
     printf '  "count": %d,\n' "$COUNT"
     printf '  "cpus": %d,\n' "$cpus"
-    emit "clean" "HotPath_PktsPerSec/clean" "$base4_clean";               printf ',\n'
-    emit "lossy_1e3" "HotPath_PktsPerSec/lossy-1e-3" "$base4_lossy";      printf ',\n'
+    emit "clean" "HotPath_PktsPerSec/clean";                              printf ',\n'
+    emit "lossy_1e3" "HotPath_PktsPerSec/lossy-1e-3";                     printf ',\n'
     emit "par_shards_1" "ParHotPath_PktsPerSec/shards-1";                 printf ',\n'
     emit "par_shards_4" "ParHotPath_PktsPerSec/shards-4";                 printf ',\n'
     emit "live_single_link" "LiveWire_PktsPerSec/single-link-unbatched";  printf ',\n'

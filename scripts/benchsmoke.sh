@@ -8,6 +8,7 @@
 #   benchsmoke.sh                              # sequential hot path
 #   benchsmoke.sh BenchmarkParHotPath_PktsPerSec   # parallel hot path
 #   benchsmoke.sh BenchmarkLiveWire_PktsPerSec ./internal/live   # live mux
+#   benchsmoke.sh BenchmarkEventQLanes ./internal/eventq         # event queue
 #
 # Budget lines in bench_baseline.txt use the full benchmark path
 # (Benchmark.../subbench); only lines matching the chosen bench run.
