@@ -17,6 +17,7 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -144,8 +145,12 @@ type Sample struct {
 
 // Run drives the fleet simulation: a corruption trace applied to a fabric
 // under one policy, sampling metrics every sampleEvery up to horizon.
-// The rng drives repair-time sampling only.
+// The rng drives repair-time sampling only. The network must start with no
+// corrupting links, as fabric.New builds it.
 func Run(rng *rand.Rand, net *fabric.Network, trace []failtrace.Event, opts Options, sampleEvery, horizon time.Duration) []Sample {
+	if len(net.Corrupting()) > 0 {
+		panic("corropt: Run needs a network with no corrupting links")
+	}
 	if opts.EffSpeed == nil {
 		opts.EffSpeed = Figure8EffSpeed
 	}
@@ -200,6 +205,7 @@ type simState struct {
 	opts    Options
 	repairs repairHeap
 	now     time.Duration
+	ids     []int // optimizer scratch
 }
 
 func (s *simState) nextRepairAt() time.Duration {
@@ -234,43 +240,42 @@ func (s *simState) disableForRepair(link int) {
 
 // completeRepair returns a repaired link to service and runs CorrOpt's
 // optimizer: newly freed capacity may allow other corrupting links to be
-// disabled, worst penalty first.
+// disabled, worst penalty first. Only the repaired link's pod can hold a
+// newly disableable link (DESIGN.md §13), so only its links are checked.
 func (s *simState) completeRepair() {
 	it := heap.Pop(&s.repairs).(repairItem)
 	s.now = it.at
 	s.net.SetUp(it.link)
 
-	active := s.activeCorruptingByPenalty()
-	for _, id := range active {
+	for _, id := range s.podByPenalty(it.link / s.net.Cfg().LinksPerPod()) {
 		if s.net.CanDisable(id, s.opts.Constraint) {
 			s.disableForRepair(id)
 		}
 	}
 }
 
-// activeCorruptingByPenalty lists up corrupting links, worst current
-// penalty contribution first.
-func (s *simState) activeCorruptingByPenalty() []int {
-	var ids []int
-	for _, id := range s.net.Corrupting() {
-		if s.net.Link(id).Up {
+// podByPenalty lists a pod's up corrupting links, worst current penalty
+// contribution first. Link IDs are pod-major, so the pod's links are one
+// run of the sorted corrupting set.
+func (s *simState) podByPenalty(pod int) []int {
+	corrupting := s.net.Corrupting()
+	lpp := s.net.Cfg().LinksPerPod()
+	ids := s.ids[:0]
+	for i := sort.SearchInts(corrupting, pod*lpp); i < len(corrupting) && corrupting[i] < (pod+1)*lpp; i++ {
+		if id := corrupting[i]; s.net.Link(id).Up {
 			ids = append(ids, id)
 		}
 	}
-	penalty := func(id int) float64 {
-		l := s.net.Link(id)
-		if l.LG {
-			return l.EffLoss
+	slices.SortFunc(ids, func(a, b int) int {
+		if pa, pb := s.net.Penalty(a), s.net.Penalty(b); pa != pb {
+			if pa > pb {
+				return -1
+			}
+			return 1
 		}
-		return l.LossRate
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		pi, pj := penalty(ids[i]), penalty(ids[j])
-		if pi != pj {
-			return pi > pj
-		}
-		return ids[i] < ids[j] // deterministic order on penalty ties
+		return a - b // deterministic order on penalty ties
 	})
+	s.ids = ids
 	return ids
 }
 
@@ -282,7 +287,10 @@ func (s *simState) sample(at time.Duration) Sample {
 		LeastPodCap:  s.net.LeastPodCapacityFrac(),
 		Disabled:     len(s.repairs),
 	}
-	perPipe := map[[2]int]int{}
+	// Attribute each LG instance to the sending switch pipe, approximating
+	// a pipe as a group of 16 ports of the pod. The corrupting set is
+	// sorted, so each pipe's links are one run of it.
+	pipe, run := -1, 0
 	for _, id := range s.net.Corrupting() {
 		l := s.net.Link(id)
 		if !l.Up {
@@ -291,14 +299,11 @@ func (s *simState) sample(at time.Duration) Sample {
 		sm.ActiveCorrupting++
 		if l.LG {
 			sm.LGActive++
-			// Attribute the LG instance to the sending switch pipe;
-			// approximate a pipe as a group of 16 ports of the pod.
-			perPipe[[2]int{id / 16, 0}]++
-		}
-	}
-	for _, c := range perPipe {
-		if c > sm.MaxLGPerPipe {
-			sm.MaxLGPerPipe = c
+			if id/16 != pipe {
+				pipe, run = id/16, 0
+			}
+			run++
+			sm.MaxLGPerPipe = max(sm.MaxLGPerPipe, run)
 		}
 	}
 	return sm

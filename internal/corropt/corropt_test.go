@@ -1,8 +1,10 @@
 package corropt
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -239,4 +241,162 @@ func TestLGCapableDeterministicAndUniform(t *testing.T) {
 	if math.Abs(frac-0.3) > 0.01 {
 		t.Fatalf("capable fraction %.3f, want ~0.30", frac)
 	}
+}
+
+// runReference is Run with CorrOpt's optimizer as first written: every
+// repair re-sorts all of the fleet's up corrupting links and checks each
+// one, and every sample recomputes least paths from every ToR and the
+// per-pipe LG count through a map. It is the oracle for the repaired-pod
+// optimizer and the incremental sample metrics.
+func runReference(rng *rand.Rand, net *fabric.Network, trace []failtrace.Event, opts Options, sampleEvery, horizon time.Duration) []Sample {
+	if opts.EffSpeed == nil {
+		opts.EffSpeed = Figure8EffSpeed
+	}
+	if opts.TargetLoss == 0 {
+		opts.TargetLoss = 1e-8
+	}
+	if opts.Mitigate == nil {
+		opts.Mitigate = PolicyMitigation(opts.Policy, opts.TargetLoss, opts.EffSpeed)
+	}
+	s := &simState{rng: rng, net: net, opts: opts}
+	var samples []Sample
+	ti := 0
+	for t := sampleEvery; t <= horizon; t += sampleEvery {
+		for {
+			nextTrace := time.Duration(math.MaxInt64)
+			if ti < len(trace) {
+				nextTrace = trace[ti].At
+			}
+			nextRepair := s.nextRepairAt()
+			if nextTrace > t && nextRepair > t {
+				break
+			}
+			if nextRepair <= nextTrace {
+				it := heap.Pop(&s.repairs).(repairItem)
+				s.now = it.at
+				s.net.SetUp(it.link)
+				for _, id := range referenceByPenalty(s.net) {
+					if s.net.CanDisable(id, s.opts.Constraint) {
+						s.disableForRepair(id)
+					}
+				}
+			} else {
+				s.onset(trace[ti])
+				ti++
+			}
+		}
+		samples = append(samples, referenceSample(s, t))
+	}
+	return samples
+}
+
+func referenceByPenalty(net *fabric.Network) []int {
+	var ids []int
+	for _, id := range net.Corrupting() {
+		if net.Link(id).Up {
+			ids = append(ids, id)
+		}
+	}
+	penalty := func(id int) float64 {
+		l := net.Link(id)
+		if l.LG {
+			return l.EffLoss
+		}
+		return l.LossRate
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		pi, pj := penalty(ids[i]), penalty(ids[j])
+		if pi != pj {
+			return pi > pj
+		}
+		return ids[i] < ids[j]
+	})
+	return ids
+}
+
+func referenceSample(s *simState, at time.Duration) Sample {
+	cfg := s.net.Cfg()
+	minPaths := cfg.MaxToRPaths()
+	for p := 0; p < cfg.Pods; p++ {
+		for t := 0; t < cfg.ToRsPerPod; t++ {
+			minPaths = min(minPaths, s.net.ToRPaths(p, t))
+		}
+	}
+	sm := Sample{
+		At:           at,
+		TotalPenalty: s.net.TotalPenalty(),
+		LeastPaths:   float64(minPaths) / float64(cfg.MaxToRPaths()),
+		LeastPodCap:  s.net.LeastPodCapacityFrac(),
+		Disabled:     len(s.repairs),
+	}
+	perPipe := map[int]int{}
+	for _, id := range s.net.Corrupting() {
+		l := s.net.Link(id)
+		if !l.Up {
+			continue
+		}
+		sm.ActiveCorrupting++
+		if l.LG {
+			sm.LGActive++
+			perPipe[id/16]++
+		}
+	}
+	for _, c := range perPipe {
+		sm.MaxLGPerPipe = max(sm.MaxLGPerPipe, c)
+	}
+	return sm
+}
+
+// TestRunMatchesFullScanReference pins the repaired-pod optimizer to the
+// full-scan reference: identical sample series, floats compared bitwise,
+// across fabric sizes, constraints, trace seeds, deployment fractions and
+// both policies. Pods of 8 ToRs and 8 spines per plane make every
+// constraint bind at this trace density, so every configuration has
+// repairs that let the optimizer disable links; the full-size pod is
+// pinned by the experiments package's fleet golden.
+func TestRunMatchesFullScanReference(t *testing.T) {
+	horizon := 60 * 24 * time.Hour
+	for _, pods := range []int{1, 2, 4, 16} {
+		cfg := fabric.Config{Pods: pods, ToRsPerPod: 8, FabricsPerPod: 4, SpinesPerPlane: 8}
+		for _, constraint := range []float64{0.5, 0.75, 0.9, 0.95} {
+			for seed := int64(1); seed <= 3; seed++ {
+				for _, frac := range []float64{0.25, 1} {
+					for _, policy := range []Policy{Vanilla, WithLinkGuardian} {
+						trace := denseTrace(rand.New(rand.NewSource(seed)), fabric.New(cfg), 200*pods, horizon)
+						opts := Options{Constraint: constraint, Policy: policy, DeployFraction: frac}
+						got := Run(rand.New(rand.NewSource(seed+100)), fabric.New(cfg), trace, opts, 6*time.Hour, horizon)
+						want := runReference(rand.New(rand.NewSource(seed+100)), fabric.New(cfg), trace, opts, 6*time.Hour, horizon)
+						if i := firstSampleDiff(got, want); i >= 0 {
+							t.Fatalf("pods=%d constraint=%g seed=%d deploy=%g %v: sample %d differs:\n got %+v\nwant %+v",
+								pods, constraint, seed, frac, policy, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// firstSampleDiff returns the index of the first sample that differs,
+// comparing floats by bit pattern, or -1 when the series are identical.
+func firstSampleDiff(a, b []Sample) int {
+	for i := range a {
+		if i >= len(b) {
+			return i
+		}
+		x, y := a[i], b[i]
+		same := x.At == y.At &&
+			math.Float64bits(x.TotalPenalty) == math.Float64bits(y.TotalPenalty) &&
+			math.Float64bits(x.LeastPaths) == math.Float64bits(y.LeastPaths) &&
+			math.Float64bits(x.LeastPodCap) == math.Float64bits(y.LeastPodCap) &&
+			x.ActiveCorrupting == y.ActiveCorrupting && x.Disabled == y.Disabled &&
+			x.LGActive == y.LGActive && x.MaxLGPerPipe == y.MaxLGPerPipe
+		if !same {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return len(a)
+	}
+	return -1
 }

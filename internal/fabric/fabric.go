@@ -85,6 +85,13 @@ type Network struct {
 	// metric sweeps iterate (and sum floats over) this set every sample,
 	// and map order would make those sums vary run to run.
 	corrupting []int
+
+	// podPaths caches each pod's least ToR path count. SetDown and SetUp,
+	// the only mutations that change path counts, mark the pod dirty;
+	// LeastPathsFrac recomputes dirty pods lazily.
+	podPaths []int
+	podDirty []bool
+	dirty    []int
 }
 
 // New builds a fully healthy fabric.
@@ -96,12 +103,15 @@ func New(cfg Config) *Network {
 	}
 	n.spineUp = make([][]int, cfg.Pods)
 	n.podCap = make([]float64, cfg.Pods)
+	n.podPaths = make([]int, cfg.Pods)
+	n.podDirty = make([]bool, cfg.Pods)
 	for p := range n.spineUp {
 		n.spineUp[p] = make([]int, cfg.FabricsPerPod)
 		for f := range n.spineUp[p] {
 			n.spineUp[p][f] = cfg.SpinesPerPlane
 		}
 		n.podCap[p] = float64(n.linksPerPod())
+		n.podPaths[p] = cfg.MaxToRPaths()
 	}
 	return n
 }
@@ -153,6 +163,13 @@ func (n *Network) isSpineLink(id int) (pod, fab int, ok bool) {
 
 func (n *Network) pod(id int) int { return id / n.linksPerPod() }
 
+func (n *Network) markDirty(pod int) {
+	if !n.podDirty[pod] {
+		n.podDirty[pod] = true
+		n.dirty = append(n.dirty, pod)
+	}
+}
+
 // SetDown disables a link (taking it out for repair).
 func (n *Network) SetDown(id int) {
 	l := &n.links[id]
@@ -164,6 +181,7 @@ func (n *Network) SetDown(id int) {
 	if pod, fab, ok := n.isSpineLink(id); ok {
 		n.spineUp[pod][fab]--
 	}
+	n.markDirty(n.pod(id))
 }
 
 // SetUp re-enables a repaired link, clearing corruption state.
@@ -181,6 +199,7 @@ func (n *Network) SetUp(id int) {
 	if pod, fab, ok := n.isSpineLink(id); ok {
 		n.spineUp[pod][fab]++
 	}
+	n.markDirty(n.pod(id))
 	if i := sort.SearchInts(n.corrupting, id); i < len(n.corrupting) && n.corrupting[i] == id {
 		n.corrupting = append(n.corrupting[:i], n.corrupting[i+1:]...)
 	}
@@ -208,6 +227,16 @@ func (n *Network) EnableLG(id int, effLoss, effSpeed float64) {
 	l.LG = true
 	l.EffLoss = effLoss
 	l.EffSpeed = effSpeed
+}
+
+// Penalty is the link's contribution to TotalPenalty while it is up: its
+// effective loss rate when LinkGuardian is enabled, else its loss rate.
+func (n *Network) Penalty(id int) float64 {
+	l := &n.links[id]
+	if l.LG {
+		return l.EffLoss
+	}
+	return l.LossRate
 }
 
 // Corrupting returns the IDs of links currently corrupting (whether or not
@@ -238,13 +267,20 @@ func (n *Network) MaxToRPaths() int { return n.cfg.MaxToRPaths() }
 // LeastPathsFrac returns the worst-case ToR's fraction of healthy paths —
 // the capacity-constraint metric of §4.8.
 func (n *Network) LeastPathsFrac() float64 {
-	minPaths := n.MaxToRPaths()
-	for p := 0; p < n.cfg.Pods; p++ {
+	for _, p := range n.dirty {
+		least := n.MaxToRPaths()
 		for t := 0; t < n.cfg.ToRsPerPod; t++ {
-			if paths := n.ToRPaths(p, t); paths < minPaths {
-				minPaths = paths
+			if paths := n.ToRPaths(p, t); paths < least {
+				least = paths
 			}
 		}
+		n.podPaths[p] = least
+		n.podDirty[p] = false
+	}
+	n.dirty = n.dirty[:0]
+	minPaths := n.MaxToRPaths()
+	for _, paths := range n.podPaths {
+		minPaths = min(minPaths, paths)
 	}
 	return float64(minPaths) / float64(n.MaxToRPaths())
 }
@@ -267,14 +303,8 @@ func (n *Network) LeastPodCapacityFrac() float64 {
 func (n *Network) TotalPenalty() float64 {
 	total := 0.0
 	for _, id := range n.Corrupting() {
-		l := &n.links[id]
-		if !l.Up {
-			continue
-		}
-		if l.LG {
-			total += l.EffLoss
-		} else {
-			total += l.LossRate
+		if n.links[id].Up {
+			total += n.Penalty(id)
 		}
 	}
 	return total

@@ -190,3 +190,42 @@ func TestPodCapacityConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestLeastPathsCacheMatchesBruteForce drives random link-state changes
+// on small fabrics and checks the per-pod least-paths cache against a
+// from-scratch minimum over every ToR after every step.
+func TestLeastPathsCacheMatchesBruteForce(t *testing.T) {
+	for _, cfg := range []Config{
+		{Pods: 1, ToRsPerPod: 4, FabricsPerPod: 2, SpinesPerPlane: 4},
+		{Pods: 3, ToRsPerPod: 8, FabricsPerPod: 4, SpinesPerPlane: 8},
+	} {
+		n := New(cfg)
+		rng := rand.New(rand.NewSource(int64(cfg.Pods)))
+		for step := 0; step < 5000; step++ {
+			// Repairs outnumber disables 3:1, holding about a quarter of
+			// the links down so path counts keep moving instead of
+			// settling at zero.
+			id := rng.Intn(n.NumLinks())
+			switch op := rng.Intn(8); {
+			case op == 0:
+				n.SetDown(id)
+			case op <= 3:
+				n.SetUp(id)
+			case op <= 5:
+				n.SetCorrupting(id, 1e-4)
+			default:
+				n.EnableLG(id, 1e-8, 0.95)
+			}
+			least := n.MaxToRPaths()
+			for p := 0; p < cfg.Pods; p++ {
+				for tor := 0; tor < cfg.ToRsPerPod; tor++ {
+					least = min(least, n.ToRPaths(p, tor))
+				}
+			}
+			want := float64(least) / float64(n.MaxToRPaths())
+			if got := n.LeastPathsFrac(); got != want {
+				t.Fatalf("%+v step %d: LeastPathsFrac = %v, brute force %v", cfg, step, got, want)
+			}
+		}
+	}
+}

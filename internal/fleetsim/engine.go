@@ -3,6 +3,7 @@ package fleetsim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"linkguardian/internal/fabric"
@@ -322,6 +323,8 @@ type shard struct {
 	podDirty []bool
 	dirty    []int32
 
+	ids []int32 // optimizer scratch
+
 	corrupting []int32 // sorted, duplicate-free local link IDs
 	onsets     tlHeap
 	repairs    tlHeap
@@ -579,7 +582,9 @@ func (s *shard) disableForRepair(now time.Duration, link int32) {
 
 // completeRepair returns a link to service and runs CorrOpt's optimizer:
 // freed capacity may let other corrupting links be disabled, worst
-// penalty first (ties broken by link ID).
+// penalty first (ties broken by link ID). Only the repaired link's pod can
+// hold a newly disableable link (DESIGN.md §13), so only its links are
+// checked.
 func (s *shard) completeRepair() {
 	ev := s.repairs.pop()
 	st := &s.links[ev.link]
@@ -595,23 +600,26 @@ func (s *shard) completeRepair() {
 	s.markDirty(pod)
 	s.stats.Repairs++
 
-	ids := s.activeCorruptingByPenalty()
-	for _, id := range ids {
+	for _, id := range s.podByPenalty(pod) {
 		if s.canDisable(id) {
 			s.disableForRepair(ev.at, id)
 		}
 	}
 }
 
-func (s *shard) activeCorruptingByPenalty() []int32 {
-	ids := make([]int32, 0, len(s.corrupting))
-	for _, id := range s.corrupting {
-		if s.links[id].up() {
+// podByPenalty lists a pod's up corrupting links by contribution. Local
+// link IDs are pod-major, so the pod's links are one run of the sorted
+// corrupting set.
+func (s *shard) podByPenalty(pod int32) []int32 {
+	ids := s.ids[:0]
+	i, _ := slices.BinarySearch(s.corrupting, pod*s.lpp)
+	for ; i < len(s.corrupting) && s.corrupting[i] < (pod+1)*s.lpp; i++ {
+		if id := s.corrupting[i]; s.links[id].up() {
 			ids = append(ids, id)
 		}
 	}
 	// Insertion sort by contribution desc, ID asc on ties: the set is
-	// small (tens of links per shard) and the order must be exact.
+	// small (one pod's corrupting links) and the order must be exact.
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0; j-- {
 			pi, pj := s.links[ids[j-1]].contribution(), s.links[ids[j]].contribution()
@@ -621,6 +629,7 @@ func (s *shard) activeCorruptingByPenalty() []int32 {
 			ids[j-1], ids[j] = ids[j], ids[j-1]
 		}
 	}
+	s.ids = ids
 	return ids
 }
 

@@ -74,8 +74,8 @@ func TestFleetShardStructureFixedByConfig(t *testing.T) {
 
 // TestShardStreamingMatchesRecompute runs a dense shard simulation and
 // audits the incremental aggregates (penalty, pod capacity, counters,
-// corrupting set, repair queue) against brute-force recomputation at every
-// sample point.
+// corrupting set, repair queue) and the settled-pod invariant against
+// brute-force recomputation after every onset.
 func TestShardStreamingMatchesRecompute(t *testing.T) {
 	for _, name := range AllSolutionNames {
 		sol, err := SolutionByName(name)
@@ -103,10 +103,8 @@ func TestShardStreamingMatchesRecompute(t *testing.T) {
 			link := int32(rng.Intn(len(s.links)))
 			q := []float64{0, 1e-8, 1e-5, 1e-4, 1e-3, 9e-3, 1}[rng.Intn(7)]
 			s.onsetAt(now, link, q)
-			if i%100 == 0 {
-				if err := s.checkInvariants(); err != nil {
-					t.Fatalf("%s: step %d: %v", name, i, err)
-				}
+			if err := s.checkInvariants(); err != nil {
+				t.Fatalf("%s: step %d: %v", name, i, err)
 			}
 		}
 		for len(s.repairs) > 0 {

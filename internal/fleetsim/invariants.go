@@ -20,7 +20,12 @@ import (
 //   - every scheduled repair refers to a distinct link that is down and
 //     still marked corrupting (a repair is only ever dispatched for a
 //     corrupting link, and only one repair per link can be in flight);
-//   - spine-link up-counts match the packed link flags.
+//   - spine-link up-counts match the packed link flags;
+//   - every pod is settled: no up corrupting link passes canDisable. This
+//     is the exactness argument of the repaired-pod optimizer (DESIGN.md
+//     §13): between events the fast checker and the last optimizer pass
+//     leave no disableable link anywhere, so a repair need only re-check
+//     its own pod.
 func (s *shard) checkInvariants() error {
 	const tol = 1e-6
 	var penalty float64
@@ -84,6 +89,9 @@ func (s *shard) checkInvariants() error {
 		}
 		if !s.links[id].corrupting() {
 			return fmt.Errorf("corrupting set contains non-corrupting link %d", id)
+		}
+		if s.canDisable(id) {
+			return fmt.Errorf("pod %d unsettled: up corrupting link %d passes the fast checker", s.pod(id), id)
 		}
 	}
 	seen := map[int32]bool{}

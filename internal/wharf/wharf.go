@@ -31,10 +31,15 @@ func (p Params) ResidualFrameLoss(q float64) float64 {
 		return 0
 	}
 	n := p.K + p.R
-	// P(more than R of n frames lost), binomial tail in log space.
+	// P(more than R of n frames lost), binomial tail in log space. The
+	// per-call logarithms are hoisted; each term keeps the same operations
+	// in the same order, so the sum is bit-identical to evaluating them
+	// per term.
+	lq, l1q := math.Log(q), math.Log1p(-q)
+	lgN, _ := math.Lgamma(float64(n + 1))
 	var tail float64
 	for i := p.R + 1; i <= n; i++ {
-		lp := logChoose(n, i) + float64(i)*math.Log(q) + float64(n-i)*math.Log1p(-q)
+		lp := logChooseFrom(lgN, n, i) + float64(i)*lq + float64(n-i)*l1q
 		tail += math.Exp(lp)
 	}
 	if tail > 1 {
@@ -68,9 +73,9 @@ func Goodput(baseline func(loss float64) float64, q float64) float64 {
 	return baseline(p.ResidualFrameLoss(q)) * (1 - p.Overhead())
 }
 
-func logChoose(n, k int) float64 {
-	lg, _ := math.Lgamma(float64(n + 1))
+// logChooseFrom is log C(n, k) given lgN = log n!.
+func logChooseFrom(lgN float64, n, k int) float64 {
 	lk, _ := math.Lgamma(float64(k + 1))
 	lnk, _ := math.Lgamma(float64(n - k + 1))
-	return lg - lk - lnk
+	return lgN - lk - lnk
 }

@@ -2,6 +2,7 @@ package wharf
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -67,5 +68,47 @@ func TestGoodputScaling(t *testing.T) {
 	}
 	if g := Goodput(baseline, 1e-2); math.Abs(g-7.91) > 0.35 {
 		t.Errorf("Wharf goodput at 1e-2 = %.2f, want ~7.91", g)
+	}
+}
+
+// textbookResidual is ResidualFrameLoss with every logarithm evaluated per
+// term, as the binomial tail is usually written.
+func textbookResidual(p Params, q float64) float64 {
+	if q <= 0 {
+		return 0
+	}
+	logChoose := func(n, k int) float64 {
+		lg, _ := math.Lgamma(float64(n + 1))
+		lk, _ := math.Lgamma(float64(k + 1))
+		lnk, _ := math.Lgamma(float64(n - k + 1))
+		return lg - lk - lnk
+	}
+	n := p.K + p.R
+	var tail float64
+	for i := p.R + 1; i <= n; i++ {
+		lp := logChoose(n, i) + float64(i)*math.Log(q) + float64(n-i)*math.Log1p(-q)
+		tail += math.Exp(lp)
+	}
+	if tail > 1 {
+		tail = 1
+	}
+	return tail
+}
+
+// TestResidualBitIdenticalToTextbook pins the hoisted evaluation to the
+// per-term formula, bit for bit, on log-uniform loss rates spanning every
+// BestParams range.
+func TestResidualBitIdenticalToTextbook(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ranges := [][2]float64{{1e-9, 1e-5}, {1e-5, 1e-4}, {1e-4, 1e-3}, {1e-3, 0.5}}
+	for _, r := range ranges {
+		lo, hi := math.Log(r[0]), math.Log(r[1])
+		for i := 0; i < 10000; i++ {
+			q := math.Exp(lo + rng.Float64()*(hi-lo))
+			p := BestParams(q)
+			if got, want := p.ResidualFrameLoss(q), textbookResidual(p, q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v at q=%g: hoisted %v != textbook %v", p, q, got, want)
+			}
+		}
 	}
 }

@@ -42,11 +42,15 @@ raw="$(go test -run '^$' -bench 'BenchmarkHotPath_PktsPerSec|BenchmarkParHotPath
     -benchtime "$BENCHTIME" -count "$COUNT" .)"
 echo "$raw"
 
-# The fleet matrix iterates in whole simulated years (~2.5s per iteration
-# on one core), so it runs on iteration count, not -benchtime.
+# Both fleet engines iterate in whole simulated years (under a second per
+# iteration each on a 2-vCPU host), so they run on iteration count, not
+# -benchtime.
 rawfleet="$(go test -run '^$' -bench 'BenchmarkFleetPareto' \
     -benchtime "${FLEET_ITERS:-3}x" ./internal/fleetsim)"
 echo "$rawfleet"
+rawlegacy="$(go test -run '^$' -bench 'BenchmarkRunFleet' \
+    -benchtime "${FLEET_ITERS:-3}x" ./internal/experiments)"
+echo "$rawlegacy"
 
 # The live wire path runs over real loopback sockets; same time-based
 # sampling as the engine benchmarks.
@@ -63,6 +67,7 @@ rawingest="$(GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkIngest' \
 echo "$rawingest"
 raw="$raw
 $rawfleet
+$rawlegacy
 $rawlive
 $rawingest"
 
@@ -145,10 +150,16 @@ if [ -z "$fleet_lys" ]; then
     echo "bench.sh: no samples for FleetPareto" >&2
     exit 1
 fi
+legacy_lys=$(samples "RunFleet" "linkyears/sec" | best)
+legacy_ns=$(samples "RunFleet" "ns/op" | worst)
+if [ -z "$legacy_lys" ]; then
+    echo "bench.sh: no samples for RunFleet" >&2
+    exit 1
+fi
 
 {
     printf '{\n'
-    printf '  "bench": "BenchmarkHotPath_PktsPerSec + BenchmarkParHotPath_PktsPerSec + BenchmarkFleetPareto + BenchmarkLiveWire_PktsPerSec + BenchmarkIngest",\n'
+    printf '  "bench": "BenchmarkHotPath_PktsPerSec + BenchmarkParHotPath_PktsPerSec + BenchmarkFleetPareto + BenchmarkRunFleet + BenchmarkLiveWire_PktsPerSec + BenchmarkIngest",\n'
     printf '  "benchtime": "%s",\n' "$BENCHTIME"
     printf '  "count": %d,\n' "$COUNT"
     printf '  "cpus": %d,\n' "$cpus"
@@ -167,6 +178,13 @@ fi
     printf '    "horizon_years": 1,\n'
     printf '    "linkyears_per_sec": %.0f,\n' "$fleet_lys"
     printf '    "ns_per_matrix": %d\n' "$fleet_ns"
+    printf '  },\n'
+    printf '  "fleet_corropt": {\n'
+    printf '    "links": 98304,\n'
+    printf '    "policies": 2,\n'
+    printf '    "horizon_years": 1,\n'
+    printf '    "linkyears_per_sec": %.0f,\n' "$legacy_lys"
+    printf '    "ns_per_run": %d\n' "$legacy_ns"
     printf '  },\n'
     s1=$(samples "ParHotPath_PktsPerSec/shards-1" "pkts/sec" | best)
     s4=$(samples "ParHotPath_PktsPerSec/shards-4" "pkts/sec" | best)
